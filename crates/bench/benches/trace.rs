@@ -91,7 +91,7 @@ fn bench_sweep(c: &mut Criterion) {
                 points: &points,
                 observed: false,
             };
-            black_box(depth_sweep_spec(&spec, &pool));
+            black_box(depth_sweep_spec(&spec, &pool, None));
         });
     });
     g.finish();

@@ -8,27 +8,36 @@
 //! what-if queries: same benchmarks, overlapping clock points) share the
 //! cached work instead of re-simulating it.
 //!
-//! This module defines the cell ([`CellSpec`]), its fingerprint, the single
-//! code path that executes it ([`CellSpec::run`] — also the engine behind
-//! [`depth_sweep_arenas`](crate::sweep::depth_sweep_arenas), so cached and
-//! freshly-simulated sweeps are bit-identical by construction), and the
-//! reassembly of per-cell outcomes into a [`DepthSweep`]
-//! ([`assemble_sweep`]).
+//! This module defines the cell ([`CellSpec`]), its fingerprint, the one
+//! way to run a cell ([`CellSpec::run`], or [`run_cell_group`] for a lane
+//! batch of cells sharing an arena), the one offline way to resolve a
+//! cell plan ([`run_cells`] — the engine behind every sweep kind, so
+//! cached and freshly simulated sweeps are bit-identical by
+//! construction), and the reassembly of per-cell outcomes into a
+//! [`DepthSweep`] ([`assemble_sweep`]).
 
 use std::sync::Arc;
 
 use fo4depth_fo4::Fo4;
+use fo4depth_pipeline::CoreConfig;
 use fo4depth_util::hash::Fnv64;
 use fo4depth_workload::{BenchProfile, TraceArena};
 
 use crate::latency::StructureSet;
 use crate::scaler::ScaledMachine;
-use crate::sim::{BenchOutcome, SimParams};
-use crate::sweep::{run_grid_cell, run_grid_group, CoreKind, DepthSweep, SweepPoint};
+use crate::sim::{
+    run_inorder, run_inorder_batched, run_inorder_observed, run_ooo, run_ooo_batched,
+    run_ooo_observed, BenchOutcome, SimParams,
+};
+use crate::sweep::{CoreKind, DepthSweep, SweepPoint};
 
 /// Fingerprint-schema version: folded into every digest, bumped whenever a
 /// simulation change makes previously cached outcomes stale.
 pub const CELL_SCHEMA: u64 = 1;
+
+/// The structure-set tag of [`StructureSet::alpha_21264`], the set every
+/// planner in this crate and the serve tier scale against.
+pub const ALPHA_21264_TAG: &str = "alpha_21264";
 
 /// Everything that determines one `(clock point × benchmark)` outcome.
 #[derive(Debug, Clone)]
@@ -75,8 +84,10 @@ impl CellSpec {
         h.finish()
     }
 
-    /// Runs the cell: scales `structures` to this cell's clock (memoized
-    /// machine-wide) and simulates `arena` on the selected core.
+    /// Runs the cell on the scalar engine: scales `structures` to this
+    /// cell's clock (memoized machine-wide) and simulates `arena` on the
+    /// selected core. This is the reference path every lane batch is
+    /// checked against.
     ///
     /// `arena` must be a trace of this cell's profile at this cell's seed;
     /// callers that cache arenas key them by `(profile, seed, len)`.
@@ -84,14 +95,27 @@ impl CellSpec {
     pub fn run(&self, structures: &StructureSet, arena: &Arc<TraceArena>) -> BenchOutcome {
         debug_assert_eq!(arena.profile().name, self.profile.name, "arena mismatch");
         let machine = ScaledMachine::at(structures, self.t_useful, self.overhead);
-        run_grid_cell(
-            self.core,
-            self.observed,
-            &machine.config,
-            arena,
-            &self.params,
-        )
+        let (config, params) = (&machine.config, &self.params);
+        match (self.core, self.observed) {
+            (CoreKind::InOrder, false) => run_inorder(config, arena, params),
+            (CoreKind::InOrder, true) => run_inorder_observed(config, arena, params),
+            (CoreKind::OutOfOrder, false) => run_ooo(config, arena, params),
+            (CoreKind::OutOfOrder, true) => run_ooo_observed(config, arena, params),
+        }
     }
+}
+
+/// What every cell of one lane batch must share: one arena (benchmark and
+/// seed), one fetch plan, one observation mode. Cells that differ only in
+/// clock point share a header.
+fn lane_header(cell: &CellSpec) -> (CoreKind, &str, SimParams, bool, &'static str) {
+    (
+        cell.core,
+        &cell.profile.name,
+        cell.params,
+        cell.observed,
+        cell.structures_tag,
+    )
 }
 
 /// Runs a group of cells that differ only in clock point as one
@@ -112,29 +136,72 @@ pub fn run_cell_group(
     arena: &Arc<TraceArena>,
 ) -> Vec<BenchOutcome> {
     let first = cells.first().expect("a group needs at least one cell");
-    for c in cells {
-        assert_eq!(c.core, first.core, "mixed cores in one lane batch");
-        assert_eq!(
-            c.profile.name, first.profile.name,
-            "mixed benchmarks in one lane batch"
-        );
-        assert_eq!(c.params, first.params, "mixed params in one lane batch");
-        assert_eq!(
-            c.observed, first.observed,
-            "mixed observation in one lane batch"
-        );
-        assert_eq!(
-            c.structures_tag, first.structures_tag,
-            "mixed structure sets in one lane batch"
-        );
-    }
+    assert!(
+        cells.iter().all(|c| lane_header(c) == lane_header(first)),
+        "one lane batch must share core, benchmark, params, observation and structures"
+    );
     debug_assert_eq!(arena.profile().name, first.profile.name, "arena mismatch");
     let machines: Vec<ScaledMachine> = cells
         .iter()
         .map(|c| ScaledMachine::at(structures, c.t_useful, c.overhead))
         .collect();
-    let configs: Vec<&fo4depth_pipeline::CoreConfig> = machines.iter().map(|m| &m.config).collect();
-    run_grid_group(first.core, first.observed, &configs, arena, &first.params)
+    let configs: Vec<&CoreConfig> = machines.iter().map(|m| &m.config).collect();
+    match first.core {
+        CoreKind::InOrder => run_inorder_batched(&configs, arena, &first.params, first.observed),
+        CoreKind::OutOfOrder => run_ooo_batched(&configs, arena, &first.params, first.observed),
+    }
+}
+
+/// Resolves a cell plan on `pool`, returning one outcome per cell,
+/// positionally. `arena_for` yields each cell's trace (called on the
+/// worker that simulates it).
+///
+/// `lanes: None` runs one [`CellSpec::run`] per cell, one pool task each
+/// — the scalar reference path. `Some(k)` groups the cells by lane-batch
+/// header (core, benchmark, params, observation, structure set) in
+/// first-appearance order, chunks each group into batches of up to `k`
+/// cells in plan order, and runs one [`run_cell_group`] per chunk as one
+/// pool task. Both paths are bit-identical to each other and at any pool
+/// size.
+///
+/// # Panics
+///
+/// Panics if `lanes` is `Some(0)`.
+#[must_use]
+pub fn run_cells(
+    cells: &[CellSpec],
+    structures: &StructureSet,
+    arena_for: impl Fn(&CellSpec) -> Arc<TraceArena> + Sync,
+    pool: &fo4depth_exec::Pool,
+    lanes: Option<usize>,
+) -> Vec<BenchOutcome> {
+    let Some(lanes) = lanes else {
+        return pool.map(cells, |cell| cell.run(structures, &arena_for(cell)));
+    };
+    assert!(lanes > 0, "a batch needs at least one lane");
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        match groups
+            .iter_mut()
+            .find(|g| lane_header(&cells[g[0]]) == lane_header(cell))
+        {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    let batches: Vec<&[usize]> = groups.iter().flat_map(|g| g.chunks(lanes)).collect();
+    let outcomes = pool.map(&batches, |slots| {
+        let group: Vec<CellSpec> = slots.iter().map(|&i| cells[i].clone()).collect();
+        run_cell_group(&group, structures, &arena_for(&group[0]))
+    });
+    // Scatter back: every slot appears in exactly one batch.
+    let mut placed: Vec<(usize, BenchOutcome)> = batches
+        .iter()
+        .zip(outcomes)
+        .flat_map(|(slots, batch)| slots.iter().copied().zip(batch))
+        .collect();
+    placed.sort_unstable_by_key(|&(slot, _)| slot);
+    placed.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Decomposes a sweep into its cells, in grid order (points major,

@@ -129,7 +129,7 @@ pub fn run_headline_figures(
             id,
             core,
             overhead,
-            sweep: depth_sweep_spec(&spec, pool),
+            sweep: depth_sweep_spec(&spec, pool, None),
         }
     })
 }

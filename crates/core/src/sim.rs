@@ -87,23 +87,7 @@ impl SimParams {
 /// size.
 #[must_use]
 pub fn arenas_for(profiles: &[BenchProfile], params: &SimParams) -> Vec<Arc<TraceArena>> {
-    arenas_for_on(profiles, params, fo4depth_exec::global())
-}
-
-/// [`arenas_for`] on an explicit pool.
-#[must_use]
-pub fn arenas_for_on(
-    profiles: &[BenchProfile],
-    params: &SimParams,
-    pool: &fo4depth_exec::Pool,
-) -> Vec<Arc<TraceArena>> {
-    if profiles.is_empty() {
-        return Vec::new();
-    }
-    let len = params.trace_len();
-    pool.map(profiles, |p| {
-        Arc::new(TraceArena::generate(p.clone(), params.seed, len))
-    })
+    crate::sweep::build_arenas(profiles, params, fo4depth_exec::global())
 }
 
 /// One benchmark's outcome at one machine configuration.

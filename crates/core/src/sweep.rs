@@ -8,17 +8,13 @@
 use std::sync::Arc;
 
 use fo4depth_fo4::Fo4;
-use fo4depth_pipeline::CoreConfig;
 use fo4depth_workload::{BenchClass, BenchProfile, TraceArena};
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{AdaptiveConfig, AdaptivePlanner, AdaptiveStats};
+use crate::cells::{assemble_sweep, run_cells, sweep_cells, CellSpec, ALPHA_21264_TAG};
 use crate::latency::StructureSet;
-use crate::scaler::ScaledMachine;
-use crate::sim::{
-    arenas_for_on, run_inorder, run_inorder_batched, run_inorder_observed, run_ooo,
-    run_ooo_batched, run_ooo_observed, summarize, BenchOutcome, SimParams,
-};
+use crate::sim::{summarize, BenchOutcome, SimParams};
 
 /// Which core model a sweep exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -150,33 +146,7 @@ pub fn depth_sweep_with(
             observed: false,
         },
         fo4depth_exec::global(),
-    )
-}
-
-/// Like [`depth_sweep_with`], but every run collects stall-attribution
-/// counters, so each [`BenchOutcome`] in the sweep carries its CPI stack.
-/// Observation is read-only: BIPS curves are bit-identical to the
-/// unobserved sweep.
-#[must_use]
-pub fn depth_sweep_observed(
-    core: CoreKind,
-    profiles: &[BenchProfile],
-    params: &SimParams,
-    structures: &StructureSet,
-    overhead: Fo4,
-    points: &[Fo4],
-) -> DepthSweep {
-    depth_sweep_spec(
-        &SweepSpec {
-            core,
-            profiles,
-            params,
-            structures,
-            overhead,
-            points,
-            observed: true,
-        },
-        fo4depth_exec::global(),
+        None,
     )
 }
 
@@ -190,28 +160,37 @@ pub fn build_arenas(
     params: &SimParams,
     pool: &fo4depth_exec::Pool,
 ) -> Vec<Arc<TraceArena>> {
-    arenas_for_on(profiles, params, pool)
+    let len = params.trace_len();
+    pool.map(profiles, |p| {
+        Arc::new(TraceArena::generate(p.clone(), params.seed, len))
+    })
 }
 
-/// Runs a sweep on an explicit pool. The benchmark traces are materialized
-/// once up front ([`build_arenas`]) and shared — by reference-counted
-/// handle — across every clock point and worker thread; the whole
-/// (point × benchmark) grid is then flattened into one task set with no
+/// Runs a sweep on an explicit pool: the benchmark traces are
+/// materialized once up front ([`build_arenas`]), then the sweep runs as
+/// [`depth_sweep_arenas`] (`lanes: None`) or
+/// [`depth_sweep_arenas_batched`] (`Some(k)`).
+#[must_use]
+pub fn depth_sweep_spec(
+    spec: &SweepSpec<'_>,
+    pool: &fo4depth_exec::Pool,
+    lanes: Option<usize>,
+) -> DepthSweep {
+    let arenas = build_arenas(spec.profiles, spec.params, pool);
+    let all: Vec<usize> = (0..spec.points.len()).collect();
+    sweep_at(spec, &arenas, pool, lanes, &all)
+}
+
+/// Runs a sweep over pre-materialized arenas (one per profile of the
+/// spec, in order) on the scalar engine. The arenas are shared — by
+/// reference-counted handle — across every clock point and worker
+/// thread; the whole (point × benchmark) grid is one task set with no
 /// join barrier between clock points, so a straggling benchmark at one
 /// point overlaps with work from the next. Results are assembled in grid
 /// order: the sweep is bit-identical at any pool size, including the
-/// single-lane serial path.
-#[must_use]
-pub fn depth_sweep_spec(spec: &SweepSpec<'_>, pool: &fo4depth_exec::Pool) -> DepthSweep {
-    let arenas = build_arenas(spec.profiles, spec.params, pool);
-    depth_sweep_arenas(spec, &arenas, pool)
-}
-
-/// [`depth_sweep_spec`] over pre-materialized arenas (one per profile of
-/// the spec, in order). Split out so callers timing the sweep — or running
-/// several sweeps over the same benchmark set, like the two-core `perf`
-/// workload — can account for (and amortize) trace generation separately
-/// from simulation.
+/// single-lane serial path. Split from arena generation so callers timing
+/// the sweep — or running several sweeps over the same benchmark set —
+/// can account for (and amortize) trace generation separately.
 ///
 /// # Panics
 ///
@@ -222,61 +201,17 @@ pub fn depth_sweep_arenas(
     arenas: &[Arc<TraceArena>],
     pool: &fo4depth_exec::Pool,
 ) -> DepthSweep {
-    assert_eq!(
-        arenas.len(),
-        spec.profiles.len(),
-        "one arena per profile, in order"
-    );
-    for (arena, profile) in arenas.iter().zip(spec.profiles) {
-        assert_eq!(
-            arena.profile().name,
-            profile.name,
-            "arena/profile misalignment"
-        );
-    }
-    let machines: Vec<ScaledMachine> = spec
-        .points
-        .iter()
-        .map(|&t| ScaledMachine::at(spec.structures, t, spec.overhead))
-        .collect();
-    let grid: Vec<(usize, usize)> = (0..spec.points.len())
-        .flat_map(|pi| (0..spec.profiles.len()).map(move |bi| (pi, bi)))
-        .collect();
-    let outcomes = pool.map(&grid, |&(pi, bi)| {
-        run_grid_cell(
-            spec.core,
-            spec.observed,
-            &machines[pi].config,
-            &arenas[bi],
-            spec.params,
-        )
-    });
-    let mut outcomes = outcomes.into_iter();
-    let points = spec
-        .points
-        .iter()
-        .zip(&machines)
-        .map(|(&t, machine)| SweepPoint {
-            t_useful: t.get(),
-            period_ps: machine.period_ps(),
-            outcomes: outcomes.by_ref().take(spec.profiles.len()).collect(),
-        })
-        .collect();
-    DepthSweep {
-        core: spec.core,
-        overhead: spec.overhead.get(),
-        points,
-    }
+    let all: Vec<usize> = (0..spec.points.len()).collect();
+    sweep_at(spec, arenas, pool, None, &all)
 }
 
-/// Runs a sweep on an explicit pool with the lane-parallel batched engine:
-/// cells are grouped by benchmark, each group's clock points are split into
-/// batches of up to `lanes` lanes, and every batch makes one pass over its
-/// shared [`TraceArena`] driving all of its lanes in lockstep (see
-/// [`run_ooo_batched`]). A batch is one pool task, so results are
-/// bit-identical at any pool size; they are also bit-identical to the
-/// scalar [`depth_sweep_arenas`] — the scalar path is retained as the
-/// reference implementation and the differential harness in
+/// [`depth_sweep_arenas`] on the lane-parallel batched engine: each
+/// benchmark's clock points are split into batches of up to `lanes`
+/// lanes, and every batch makes one pass over its shared [`TraceArena`]
+/// driving all of its lanes in lockstep (see
+/// [`run_ooo_batched`](crate::sim::run_ooo_batched)). A batch is one pool
+/// task, so results are bit-identical at any pool size; they are also
+/// bit-identical to the scalar sweep — the differential harness in
 /// `tests/batched_equivalence.rs` enforces the equivalence byte-for-byte.
 ///
 /// # Panics
@@ -290,104 +225,8 @@ pub fn depth_sweep_arenas_batched(
     pool: &fo4depth_exec::Pool,
     lanes: usize,
 ) -> DepthSweep {
-    assert!(lanes > 0, "a batch needs at least one lane");
-    assert_eq!(
-        arenas.len(),
-        spec.profiles.len(),
-        "one arena per profile, in order"
-    );
-    for (arena, profile) in arenas.iter().zip(spec.profiles) {
-        assert_eq!(
-            arena.profile().name,
-            profile.name,
-            "arena/profile misalignment"
-        );
-    }
-    let machines: Vec<ScaledMachine> = spec
-        .points
-        .iter()
-        .map(|&t| ScaledMachine::at(spec.structures, t, spec.overhead))
-        .collect();
-    // One task per (benchmark × point-batch): `lanes` clock points of one
-    // benchmark, sharing a single pass over that benchmark's arena. Ragged
-    // tails (point count not divisible by `lanes`) become short batches.
-    let tasks: Vec<(usize, std::ops::Range<usize>)> = (0..spec.profiles.len())
-        .flat_map(|bi| {
-            (0..spec.points.len())
-                .step_by(lanes)
-                .map(move |lo| (bi, lo..(lo + lanes).min(spec.points.len())))
-        })
-        .collect();
-    let batches = pool.map(&tasks, |(bi, pis)| {
-        let configs: Vec<&CoreConfig> = pis.clone().map(|pi| &machines[pi].config).collect();
-        run_grid_group(
-            spec.core,
-            spec.observed,
-            &configs,
-            &arenas[*bi],
-            spec.params,
-        )
-    });
-    // Scatter batch results back into points-major grid order.
-    let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
-    grid.resize_with(spec.points.len() * spec.profiles.len(), || None);
-    for ((bi, pis), batch) in tasks.into_iter().zip(batches) {
-        for (pi, outcome) in pis.zip(batch) {
-            grid[pi * spec.profiles.len() + bi] = Some(outcome);
-        }
-    }
-    let mut outcomes = grid.into_iter().map(|o| o.expect("every cell filled"));
-    let points = spec
-        .points
-        .iter()
-        .zip(&machines)
-        .map(|(&t, machine)| SweepPoint {
-            t_useful: t.get(),
-            period_ps: machine.period_ps(),
-            outcomes: outcomes.by_ref().take(spec.profiles.len()).collect(),
-        })
-        .collect();
-    DepthSweep {
-        core: spec.core,
-        overhead: spec.overhead.get(),
-        points,
-    }
-}
-
-/// [`depth_sweep_arenas_batched`] with arena materialization included, on
-/// an explicit pool.
-#[must_use]
-pub fn depth_sweep_spec_batched(
-    spec: &SweepSpec<'_>,
-    pool: &fo4depth_exec::Pool,
-    lanes: usize,
-) -> DepthSweep {
-    let arenas = build_arenas(spec.profiles, spec.params, pool);
-    depth_sweep_arenas_batched(spec, &arenas, pool, lanes)
-}
-
-/// The batched counterpart of [`depth_sweep`]: the paper's standard sweep
-/// with all of a benchmark's clock points in one batch.
-#[must_use]
-pub fn depth_sweep_batched(
-    core: CoreKind,
-    profiles: &[BenchProfile],
-    params: &SimParams,
-) -> DepthSweep {
-    let points = standard_points();
-    depth_sweep_spec_batched(
-        &SweepSpec {
-            core,
-            profiles,
-            params,
-            structures: &StructureSet::alpha_21264(),
-            overhead: Fo4::new(1.8),
-            points: &points,
-            observed: false,
-        },
-        fo4depth_exec::global(),
-        points.len(),
-    )
+    let all: Vec<usize> = (0..spec.points.len()).collect();
+    sweep_at(spec, arenas, pool, Some(lanes), &all)
 }
 
 /// The measured-best lane count for a core's point batches. The
@@ -403,6 +242,73 @@ pub fn auto_lanes(core: CoreKind, points: usize) -> usize {
         CoreKind::OutOfOrder => points.max(1),
         CoreKind::InOrder => points.clamp(1, 4),
     }
+}
+
+/// Each cell's trace among `arenas`, which must be positionally aligned
+/// with `profiles` (the shape [`build_arenas`] returns).
+///
+/// # Panics
+///
+/// Panics on misaligned arenas; the returned lookup panics on a cell
+/// whose benchmark is not among `profiles`.
+pub(crate) fn arena_lookup<'a>(
+    profiles: &'a [BenchProfile],
+    arenas: &'a [Arc<TraceArena>],
+) -> impl Fn(&CellSpec) -> Arc<TraceArena> + Sync + 'a {
+    assert_eq!(
+        arenas.len(),
+        profiles.len(),
+        "one arena per profile, in order"
+    );
+    for (arena, profile) in arenas.iter().zip(profiles) {
+        assert_eq!(
+            arena.profile().name,
+            profile.name,
+            "arena/profile misalignment"
+        );
+    }
+    move |cell| {
+        let bi = profiles
+            .iter()
+            .position(|p| p.name == cell.profile.name)
+            .expect("cell profile in spec");
+        Arc::clone(&arenas[bi])
+    }
+}
+
+/// Simulates the sweep's grid points at `indices` (dense-grid indices, in
+/// any order) over shared arenas: plan the cells ([`sweep_cells`]),
+/// resolve them ([`run_cells`]), assemble them ([`assemble_sweep`]). The
+/// result holds one point per index, in request order. Every sweep kind —
+/// dense, batched, adaptive rounds, densification — goes through here, so
+/// each outcome is bitwise identical to its dense equivalent.
+fn sweep_at(
+    spec: &SweepSpec<'_>,
+    arenas: &[Arc<TraceArena>],
+    pool: &fo4depth_exec::Pool,
+    lanes: Option<usize>,
+    indices: &[usize],
+) -> DepthSweep {
+    let arena_for = arena_lookup(spec.profiles, arenas);
+    let points: Vec<Fo4> = indices.iter().map(|&i| spec.points[i]).collect();
+    let cells = sweep_cells(
+        spec.core,
+        spec.profiles,
+        spec.params,
+        spec.overhead,
+        &points,
+        spec.observed,
+        ALPHA_21264_TAG,
+    );
+    let outcomes = run_cells(&cells, spec.structures, arena_for, pool, lanes);
+    assemble_sweep(
+        spec.core,
+        spec.structures,
+        spec.overhead,
+        &points,
+        spec.profiles.len(),
+        outcomes,
+    )
 }
 
 /// One adaptive sweep's result: the probed subset of the dense grid (in
@@ -451,119 +357,75 @@ impl AdaptiveSweep {
             self.stats.dense_points,
             "densify spec must match the planned grid"
         );
-        let mut probed = self.probe_order.clone();
-        probed.sort_unstable();
         let missing: Vec<usize> = (0..spec.points.len())
-            .filter(|i| probed.binary_search(i).is_err())
+            .filter(|i| !self.probe_order.contains(i))
             .collect();
-        let fresh = run_points(spec, arenas, pool, lanes, &missing);
-        let mut fresh = fresh.into_iter();
-        let mut have = self.sweep.points.iter().cloned();
-        let points = (0..spec.points.len())
-            .map(|i| {
-                if probed.binary_search(&i).is_ok() {
-                    have.next().expect("one probed point per probed index")
-                } else {
-                    fresh.next().expect("one fresh point per missing index")
-                }
-            })
-            .collect();
-        DepthSweep {
-            core: spec.core,
-            overhead: spec.overhead.get(),
-            points,
-        }
+        let mut dense = sweep_at(spec, arenas, pool, lanes, &missing);
+        // The grid ascends strictly (the planner requires it), so merging
+        // by `t_useful` restores grid order.
+        dense.points.extend(self.sweep.points.iter().cloned());
+        dense
+            .points
+            .sort_by(|a, b| a.t_useful.total_cmp(&b.t_useful));
+        dense
     }
 }
 
-/// Simulates a subset of a sweep's grid points (by dense-grid index) over
-/// shared arenas, returning one [`SweepPoint`] per requested index, in
-/// request order. `lanes: None` takes the scalar per-cell path (one pool
-/// task per `(point × benchmark)` cell); `Some(k)` the lane-batched path
-/// (groups of up to `k` points per benchmark). Both go through the same
-/// grid dispatch as the dense sweeps, so every outcome is bitwise
-/// identical to the dense equivalent.
-pub(crate) fn run_points(
-    spec: &SweepSpec<'_>,
-    arenas: &[Arc<TraceArena>],
-    pool: &fo4depth_exec::Pool,
-    lanes: Option<usize>,
-    indices: &[usize],
-) -> Vec<SweepPoint> {
-    assert_eq!(
-        arenas.len(),
-        spec.profiles.len(),
-        "one arena per profile, in order"
-    );
-    let machines: Vec<ScaledMachine> = indices
-        .iter()
-        .map(|&pi| ScaledMachine::at(spec.structures, spec.points[pi], spec.overhead))
-        .collect();
-    let grid_outcomes: Vec<BenchOutcome> = match lanes {
-        None => {
-            let grid: Vec<(usize, usize)> = (0..indices.len())
-                .flat_map(|k| (0..spec.profiles.len()).map(move |bi| (k, bi)))
-                .collect();
-            pool.map(&grid, |&(k, bi)| {
-                run_grid_cell(
-                    spec.core,
-                    spec.observed,
-                    &machines[k].config,
-                    &arenas[bi],
-                    spec.params,
-                )
-            })
+/// The one adaptive round loop: coarse pass, then refinement rounds
+/// around the incumbent (see [`AdaptivePlanner`]). `resolve` turns each
+/// round's dense-grid indices into one [`SweepPoint`] per index, in
+/// order — offline through [`run_cells`], in the serve tier through its
+/// cache tiers. The figure of merit is the harmonic-mean BIPS over *all*
+/// benchmarks at each point — the paper's headline curve. `on_point`
+/// fires once per probed point, in probe order, as its round completes.
+///
+/// # Panics
+///
+/// Panics if `points` is empty or not strictly increasing, or a resolved
+/// point has no outcomes.
+#[must_use]
+pub fn drive_adaptive(
+    core: CoreKind,
+    overhead: Fo4,
+    points: &[Fo4],
+    bench_count: usize,
+    config: &AdaptiveConfig,
+    mut resolve: impl FnMut(&[usize]) -> Vec<SweepPoint>,
+    on_point: &mut dyn FnMut(usize, &SweepPoint),
+) -> AdaptiveSweep {
+    let mut planner = AdaptivePlanner::new(points, core, overhead, config);
+    let mut slots: Vec<Option<SweepPoint>> = vec![None; points.len()];
+    loop {
+        let batch = planner.next_batch();
+        if batch.is_empty() {
+            break;
         }
-        Some(lanes) => {
-            assert!(lanes > 0, "a batch needs at least one lane");
-            let tasks: Vec<(usize, std::ops::Range<usize>)> = (0..spec.profiles.len())
-                .flat_map(|bi| {
-                    (0..indices.len())
-                        .step_by(lanes)
-                        .map(move |lo| (bi, lo..(lo + lanes).min(indices.len())))
-                })
-                .collect();
-            let batches = pool.map(&tasks, |(bi, ks)| {
-                let configs: Vec<&CoreConfig> = ks.clone().map(|k| &machines[k].config).collect();
-                run_grid_group(
-                    spec.core,
-                    spec.observed,
-                    &configs,
-                    &arenas[*bi],
-                    spec.params,
-                )
-            });
-            let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
-            grid.resize_with(indices.len() * spec.profiles.len(), || None);
-            for ((bi, ks), batch) in tasks.into_iter().zip(batches) {
-                for (k, outcome) in ks.zip(batch) {
-                    grid[k * spec.profiles.len() + bi] = Some(outcome);
-                }
-            }
-            grid.into_iter()
-                .map(|o| o.expect("every cell filled"))
-                .collect()
+        for (&pi, point) in batch.iter().zip(resolve(&batch)) {
+            let merit = summarize(&point.outcomes, None, point.period_ps)
+                .expect("benchmarks present")
+                .bips;
+            planner.record(pi, merit);
+            on_point(pi, &point);
+            slots[pi] = Some(point);
         }
-    };
-    let mut outcomes = grid_outcomes.into_iter();
-    indices
-        .iter()
-        .zip(&machines)
-        .map(|(&pi, machine)| SweepPoint {
-            t_useful: spec.points[pi].get(),
-            period_ps: machine.period_ps(),
-            outcomes: outcomes.by_ref().take(spec.profiles.len()).collect(),
-        })
-        .collect()
+    }
+    let points_probed: Vec<SweepPoint> = slots.into_iter().flatten().collect();
+    AdaptiveSweep {
+        cells_dense: points.len() * bench_count,
+        cells_simulated: points_probed.len() * bench_count,
+        sweep: DepthSweep {
+            core,
+            overhead: overhead.get(),
+            points: points_probed,
+        },
+        probe_order: planner.probe_order().to_vec(),
+        stats: planner.stats(),
+    }
 }
 
-/// Runs an adaptive sweep over pre-materialized arenas: coarse pass, then
-/// refinement rounds around the incumbent (see
-/// [`AdaptivePlanner`](crate::adaptive::AdaptivePlanner)), each round's
-/// points fanned out on `pool` through the same scalar or lane-batched
-/// grid dispatch as the dense sweeps. The figure of merit is the
-/// harmonic-mean BIPS over *all* benchmarks at each point — the paper's
-/// headline curve.
+/// Runs an adaptive sweep over pre-materialized arenas: [`drive_adaptive`]
+/// with each round's points resolved on `pool` through the same scalar or
+/// lane-batched cell path as the dense sweeps.
 ///
 /// # Panics
 ///
@@ -578,91 +440,15 @@ pub fn adaptive_sweep_arenas(
     config: &AdaptiveConfig,
 ) -> AdaptiveSweep {
     assert!(!spec.profiles.is_empty(), "a sweep needs benchmarks");
-    for (arena, profile) in arenas.iter().zip(spec.profiles) {
-        assert_eq!(
-            arena.profile().name,
-            profile.name,
-            "arena/profile misalignment"
-        );
-    }
-    let mut planner = AdaptivePlanner::new(spec.points, spec.core, spec.overhead, config);
-    let mut slots: Vec<Option<SweepPoint>> = vec![None; spec.points.len()];
-    loop {
-        let batch = planner.next_batch();
-        if batch.is_empty() {
-            break;
-        }
-        let round = run_points(spec, arenas, pool, lanes, &batch);
-        for (&pi, point) in batch.iter().zip(round) {
-            let merit = summarize(&point.outcomes, None, point.period_ps)
-                .expect("benchmarks present")
-                .bips;
-            planner.record(pi, merit);
-            slots[pi] = Some(point);
-        }
-    }
-    let stats = planner.stats();
-    let points: Vec<SweepPoint> = slots.into_iter().flatten().collect();
-    let cells_simulated = points.len() * spec.profiles.len();
-    AdaptiveSweep {
-        sweep: DepthSweep {
-            core: spec.core,
-            overhead: spec.overhead.get(),
-            points,
-        },
-        probe_order: planner.probe_order().to_vec(),
-        stats,
-        cells_dense: spec.points.len() * spec.profiles.len(),
-        cells_simulated,
-    }
-}
-
-/// [`adaptive_sweep_arenas`] with arena materialization included.
-#[must_use]
-pub fn adaptive_sweep_spec(
-    spec: &SweepSpec<'_>,
-    pool: &fo4depth_exec::Pool,
-    lanes: Option<usize>,
-    config: &AdaptiveConfig,
-) -> AdaptiveSweep {
-    let arenas = build_arenas(spec.profiles, spec.params, pool);
-    adaptive_sweep_arenas(spec, &arenas, pool, lanes, config)
-}
-
-/// The one dispatch point every batched lane-group goes through — shared by
-/// [`depth_sweep_arenas_batched`] and the cache-granular
-/// [`run_cell_group`](crate::cells::run_cell_group), mirroring how
-/// [`run_grid_cell`] is the single scalar dispatch point.
-pub(crate) fn run_grid_group(
-    core: CoreKind,
-    observed: bool,
-    configs: &[&CoreConfig],
-    arena: &Arc<TraceArena>,
-    params: &SimParams,
-) -> Vec<BenchOutcome> {
-    match core {
-        CoreKind::InOrder => run_inorder_batched(configs, arena, params, observed),
-        CoreKind::OutOfOrder => run_ooo_batched(configs, arena, params, observed),
-    }
-}
-
-/// The one dispatch point every sweep cell goes through — shared by the
-/// grid fan-out above and the cache-granular
-/// [`CellSpec::run`](crate::cells::CellSpec::run), so a cell simulated for
-/// a cache is bit-identical to the same cell simulated inside a sweep.
-pub(crate) fn run_grid_cell(
-    core: CoreKind,
-    observed: bool,
-    config: &CoreConfig,
-    arena: &Arc<TraceArena>,
-    params: &SimParams,
-) -> BenchOutcome {
-    match (core, observed) {
-        (CoreKind::InOrder, false) => run_inorder(config, arena, params),
-        (CoreKind::InOrder, true) => run_inorder_observed(config, arena, params),
-        (CoreKind::OutOfOrder, false) => run_ooo(config, arena, params),
-        (CoreKind::OutOfOrder, true) => run_ooo_observed(config, arena, params),
-    }
+    drive_adaptive(
+        spec.core,
+        spec.overhead,
+        spec.points,
+        spec.profiles.len(),
+        config,
+        |batch| sweep_at(spec, arenas, pool, lanes, batch).points,
+        &mut |_, _| {},
+    )
 }
 
 #[cfg(test)]

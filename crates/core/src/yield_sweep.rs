@@ -32,9 +32,9 @@ use fo4depth_variation::{DieSample, FastPath, Sampler, VariationError, Variation
 use fo4depth_workload::TraceArena;
 use serde::{Deserialize, Serialize};
 
-use crate::cells::{assemble_sweep, run_cell_group, sweep_cells, CellSpec};
+use crate::cells::{assemble_sweep, run_cells, sweep_cells, CellSpec, ALPHA_21264_TAG};
 use crate::sim::{summarize, BenchOutcome};
-use crate::sweep::{DepthSweep, SweepSpec};
+use crate::sweep::{arena_lookup, DepthSweep, SweepSpec};
 
 /// Effective clock points are clamped to this range so a far-tail die
 /// cannot ask the scaler for a degenerate machine.
@@ -213,31 +213,22 @@ impl<'a> YieldPlan<'a> {
         let indices: Vec<u64> = (0..u64::from(variation.samples)).collect();
         let dies = pool.map(&indices, |&s| sampler.die(s));
 
-        let mut cells = sweep_cells(
+        // The nominal grid, then every die at its effective clock point
+        // (point-major, die-minor): one sweep plan over both.
+        let effective = spec.points.iter().flat_map(|t| {
+            dies.iter()
+                .map(|die| Fo4::new(effective_t_useful(t.get(), die.unit_ratio)))
+        });
+        let plan_points: Vec<Fo4> = spec.points.iter().copied().chain(effective).collect();
+        let cells = sweep_cells(
             spec.core,
             spec.profiles,
             spec.params,
             spec.overhead,
-            spec.points,
+            &plan_points,
             spec.observed,
-            "alpha_21264",
+            ALPHA_21264_TAG,
         );
-        for &t in spec.points {
-            for die in &dies {
-                let eff = Fo4::new(effective_t_useful(t.get(), die.unit_ratio));
-                for profile in spec.profiles {
-                    cells.push(CellSpec {
-                        core: spec.core,
-                        profile: profile.clone(),
-                        t_useful: eff,
-                        overhead: spec.overhead,
-                        params: *spec.params,
-                        observed: spec.observed,
-                        structures_tag: "alpha_21264",
-                    });
-                }
-            }
-        }
         Ok(Self {
             spec,
             variation,
@@ -400,10 +391,11 @@ impl<'a> YieldPlan<'a> {
 }
 
 /// Runs a planned yield sweep over pre-materialized arenas on an explicit
-/// pool. `lanes: None` takes the scalar per-cell path; `Some(k)` groups
-/// each benchmark's cells into lane batches of up to `k` clock points —
-/// both positional, so the result is bit-identical either way and at any
-/// pool size.
+/// pool: [`run_cells`] over [`YieldPlan::cells`], then
+/// [`YieldPlan::assemble`]. `lanes: None` takes the scalar per-cell path;
+/// `Some(k)` groups each benchmark's cells into lane batches of up to `k`
+/// clock points — both positional, so the result is bit-identical either
+/// way and at any pool size.
 ///
 /// # Panics
 ///
@@ -415,82 +407,9 @@ pub fn run_yield_plan(
     pool: &fo4depth_exec::Pool,
     lanes: Option<usize>,
 ) -> YieldSweep {
-    let spec = &plan.spec;
-    assert_eq!(
-        arenas.len(),
-        spec.profiles.len(),
-        "one arena per profile, in order"
-    );
-    for (arena, profile) in arenas.iter().zip(spec.profiles) {
-        assert_eq!(
-            arena.profile().name,
-            profile.name,
-            "arena/profile misalignment"
-        );
-    }
-    let bench_index = |cell: &CellSpec| {
-        spec.profiles
-            .iter()
-            .position(|p| p.name == cell.profile.name)
-            .expect("cell profile in spec")
-    };
-    let outcomes: Vec<BenchOutcome> = match lanes {
-        None => pool.map(plan.cells(), |cell| {
-            cell.run(spec.structures, &arenas[bench_index(cell)])
-        }),
-        Some(lanes) => {
-            assert!(lanes > 0, "a batch needs at least one lane");
-            // Group by benchmark, preserving plan order within a group,
-            // then chunk each group into lane batches. One batch = one
-            // pool task; scatter back to plan slots afterwards.
-            let mut by_bench: Vec<Vec<usize>> = vec![Vec::new(); spec.profiles.len()];
-            for (i, cell) in plan.cells().iter().enumerate() {
-                by_bench[bench_index(cell)].push(i);
-            }
-            let tasks: Vec<(usize, Vec<usize>)> = by_bench
-                .into_iter()
-                .enumerate()
-                .flat_map(|(bi, slots)| {
-                    slots
-                        .chunks(lanes)
-                        .map(|chunk| (bi, chunk.to_vec()))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            let batches = pool.map(&tasks, |(bi, slots)| {
-                let group: Vec<CellSpec> = slots.iter().map(|&i| plan.cells()[i].clone()).collect();
-                run_cell_group(&group, spec.structures, &arenas[*bi])
-            });
-            let mut grid: Vec<Option<BenchOutcome>> = Vec::new();
-            grid.resize_with(plan.cells().len(), || None);
-            for ((_, slots), batch) in tasks.into_iter().zip(batches) {
-                for (slot, outcome) in slots.into_iter().zip(batch) {
-                    grid[slot] = Some(outcome);
-                }
-            }
-            grid.into_iter()
-                .map(|o| o.expect("every cell filled"))
-                .collect()
-        }
-    };
+    let arena_for = arena_lookup(plan.spec.profiles, arenas);
+    let outcomes = run_cells(plan.cells(), plan.spec.structures, arena_for, pool, lanes);
     plan.assemble(outcomes)
-}
-
-/// Plans and runs a yield sweep in one call: build the plan, materialize
-/// arenas, execute, assemble.
-///
-/// # Errors
-///
-/// Returns the validation error of an invalid `variation`.
-pub fn yield_sweep_spec(
-    spec: &SweepSpec<'_>,
-    variation: VariationSpec,
-    pool: &fo4depth_exec::Pool,
-    lanes: Option<usize>,
-) -> Result<YieldSweep, VariationError> {
-    let plan = YieldPlan::build(*spec, variation, pool)?;
-    let arenas = crate::sweep::build_arenas(spec.profiles, spec.params, pool);
-    Ok(run_yield_plan(&plan, &arenas, pool, lanes))
 }
 
 #[cfg(test)]

@@ -24,13 +24,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fo4depth_fo4::Fo4;
-use fo4depth_study::adaptive::{AdaptiveConfig, AdaptivePlanner};
-use fo4depth_study::cells::{assemble_sweep, sweep_cells, CellSpec};
+use fo4depth_study::adaptive::AdaptiveConfig;
+use fo4depth_study::cells::{assemble_sweep, run_cells, sweep_cells, CellSpec, ALPHA_21264_TAG};
 use fo4depth_study::latency::StructureSet;
 use fo4depth_study::report;
 use fo4depth_study::sim::{summarize, BenchOutcome, SimParams};
 use fo4depth_study::sweep::{
-    standard_points, AdaptiveSweep, CoreKind, DepthSweep, SweepPoint, SweepSpec,
+    auto_lanes, drive_adaptive, standard_points, AdaptiveSweep, CoreKind, DepthSweep, SweepPoint,
+    SweepSpec,
 };
 use fo4depth_study::yield_sweep::{YieldPlan, YieldPoint, YieldSweep};
 use fo4depth_util::hash::Fnv64;
@@ -40,9 +41,6 @@ use fo4depth_workload::{profiles, BenchClass, BenchProfile, TraceArena};
 
 use crate::cache::Cache;
 use crate::store::CellStore;
-
-/// Tag identifying the only structure set the daemon serves.
-const STRUCTURES_TAG: &str = "alpha_21264";
 
 /// A request that failed validation, with the HTTP status to signal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -566,7 +564,7 @@ impl SweepRequest {
         h.write_u64(self.params.measure);
         h.write_u64(self.params.seed);
         h.write_f64(self.overhead.get());
-        h.write_str(STRUCTURES_TAG);
+        h.write_str(ALPHA_21264_TAG);
         // The search mode changes the document (probed subset, probe
         // order, adaptive stats), so it and its knobs are part of the
         // address. `stream` is transport framing over the same bytes and
@@ -600,7 +598,7 @@ impl SweepRequest {
             self.overhead,
             &self.points,
             observed,
-            STRUCTURES_TAG,
+            ALPHA_21264_TAG,
         )
     }
 }
@@ -660,7 +658,7 @@ impl RunRequest {
             overhead: self.overhead,
             params: self.params,
             observed: self.observed,
-            structures_tag: STRUCTURES_TAG,
+            structures_tag: ALPHA_21264_TAG,
         }
     }
 }
@@ -740,7 +738,7 @@ impl CellsRequest {
                     overhead,
                     params,
                     observed,
-                    structures_tag: STRUCTURES_TAG,
+                    structures_tag: ALPHA_21264_TAG,
                 })
             })
             .collect::<Result<_, _>>()?;
@@ -1012,7 +1010,7 @@ impl YieldRequest {
         h.write_u64(self.params.measure);
         h.write_u64(self.params.seed);
         h.write_f64(self.overhead.get());
-        h.write_str(STRUCTURES_TAG);
+        h.write_str(ALPHA_21264_TAG);
         h.write_u64(self.variation.digest());
         h.finish()
     }
@@ -1260,108 +1258,61 @@ impl Engine {
         })
     }
 
-    /// One cell's outcome, simulated at most once per *store* lifetime:
-    /// an LRU miss first consults the persistent tier (which re-verifies
-    /// checksums on read), and only a disk miss materializes the trace
-    /// arena and simulates. Freshly simulated outcomes are queued for
-    /// persistence write-behind; the caller never waits on the disk.
-    fn outcome(&self, cell: &CellSpec) -> Arc<BenchOutcome> {
-        // Router mode: a single cell is a scatter of one — the owning
-        // shard simulates, this process only places the result.
-        if self.upstream.is_some() {
-            let mut outcomes = self.fill_cells(std::slice::from_ref(cell));
-            return Arc::new(outcomes.pop().expect("one outcome per cell"));
-        }
-        let fingerprint = cell.fingerprint();
-        self.cells.get_or_compute_tiered(
-            fingerprint,
-            || {
-                self.store
-                    .as_ref()
-                    .and_then(|s| s.load(fingerprint))
-                    .map(Arc::new)
-            },
-            || {
-                let arena = self.arena(&cell.profile, &cell.params);
-                let outcome = Arc::new(cell.run(&self.structures, &arena));
-                if let Some(store) = &self.store {
-                    store.put_tagged(fingerprint, Some(cell.core), &outcome);
-                }
-                outcome
-            },
-        )
-    }
-
-    /// Runs (or recalls) every cell of a sweep and reassembles the
-    /// [`DepthSweep`](fo4depth_study::sweep::DepthSweep).
-    ///
-    /// Warm cells come from the LRU (or read through from the persistent
-    /// tier); the cold remainder is grouped by benchmark and simulated
-    /// with the lane-parallel batched engine
-    /// ([`fo4depth_study::cells::run_cell_group`]) — one pass over each
-    /// benchmark's shared arena drives every cold clock point of that
-    /// benchmark. Batched and scalar fills are bit-identical (the
-    /// `tests/batched_equivalence.rs` harness pins this), so a sweep
-    /// freely mixes cells warmed by the scalar `/v1/run` path with cold
-    /// batched fills, and the result is byte-identical to the offline
-    /// `depth_sweep_*` path at any pool size.
-    ///
-    /// Single-flight coalescing of *identical* requests still happens at
-    /// the response tier; two *distinct* concurrent requests overlapping
-    /// on a cold cell may both simulate it (the install is idempotent) —
-    /// a deliberate trade for the batched fill's shared-arena pass.
+    /// Resolves every cell of a sweep through [`Self::fill_cells`] and
+    /// reassembles the [`DepthSweep`] — the same plan → resolve →
+    /// assemble pipeline as the offline `depth_sweep_*` entry points, so
+    /// the result is byte-identical to them at any pool size, however
+    /// each cell was resolved (LRU, persistent store, shard ring, or a
+    /// fresh lane batch).
     pub fn sweep(&self, req: &SweepRequest, observed: bool) -> DepthSweep {
-        let cells = req.cells(observed);
-        let outcomes = self.fill_cells(&cells);
-        assemble_sweep(
-            req.core,
-            &self.structures,
-            req.overhead,
-            &req.points,
-            req.profiles.len(),
-            outcomes,
-        )
+        let all: Vec<usize> = (0..req.points.len()).collect();
+        self.sweep_at(req, observed, &all)
     }
 
-    /// Installs one already-computed outcome by fingerprint — the
-    /// `POST /v1/records` replica-warming path, where a peer router
-    /// pushes records this shard did not simulate. The record's CRC was
-    /// verified at decode; fingerprints are the same content addresses
-    /// the cache tiers key on, so a pushed record is indistinguishable
-    /// from a locally simulated one (outcomes are deterministic
-    /// functions of their fingerprint).
-    pub fn install_record(&self, fingerprint: u64, core: Option<CoreKind>, outcome: BenchOutcome) {
+    /// Installs one already-computed outcome by fingerprint into the
+    /// cache tiers (write-behind into the persistent store, insert into
+    /// the LRU). Every cell [`Self::fill_cells`] resolves installs here,
+    /// and so does the `POST /v1/records` replica-warming path, where a
+    /// peer router pushes records this shard did not simulate. A pushed
+    /// record's CRC was verified at decode; fingerprints are the same
+    /// content addresses the cache tiers key on, so a pushed record is
+    /// indistinguishable from a locally simulated one (outcomes are
+    /// deterministic functions of their fingerprint).
+    pub fn install_record(
+        &self,
+        fingerprint: u64,
+        core: Option<CoreKind>,
+        outcome: BenchOutcome,
+    ) -> Arc<BenchOutcome> {
         let out = Arc::new(outcome);
         if let Some(store) = &self.store {
             store.put_tagged(fingerprint, core, &out);
-        }
-        self.cells.insert(fingerprint, out);
-    }
-
-    /// Installs one resolved outcome into the cache tiers (write-behind
-    /// into the persistent store, insert into the LRU).
-    fn install(&self, cell: &CellSpec, outcome: BenchOutcome) -> Arc<BenchOutcome> {
-        let fingerprint = cell.fingerprint();
-        let out = Arc::new(outcome);
-        if let Some(store) = &self.store {
-            store.put_tagged(fingerprint, Some(cell.core), &out);
         }
         self.cells.insert(fingerprint, Arc::clone(&out));
         out
     }
 
-    /// Resolves every cell through the cache tiers, simulating only the
-    /// cold remainder, and returns the outcomes positionally.
+    /// The engine's one cell-resolution path: resolves every cell through
+    /// the tiers in order — LRU, persistent store, shard ring (router
+    /// mode), local simulation — each tier seeing only what the tiers
+    /// above it missed, and returns the outcomes positionally.
     ///
-    /// In router mode the cold remainder scatters to the shard tier
-    /// first — each cell to the shard that owns its fingerprint — and
-    /// only cells the tier could not resolve (every responsible shard
-    /// down past the retry budget) fall through to local simulation, so
-    /// a routed sweep degrades to single-node behaviour rather than
-    /// failing.
+    /// Local simulation is [`run_cells`] over the cold remainder with the
+    /// core's [`auto_lanes`] width, one lane batch per pool task; lane
+    /// batches are bit-identical to scalar runs (the
+    /// `tests/batched_equivalence.rs` harness pins this), so a response
+    /// never depends on which tier or batch shape produced a cell.
+    /// Resolved cells are installed into the LRU and queued for the
+    /// persistent tier write-behind. In router mode, only cells the shard
+    /// tier could not resolve (every responsible shard down past the
+    /// retry budget) simulate locally, so a routed sweep degrades to
+    /// single-node behaviour rather than failing.
+    ///
+    /// Identical requests coalesce at the response tier; two *distinct*
+    /// concurrent requests overlapping on a cold cell may both simulate
+    /// it (the install is idempotent) — a deliberate trade for the
+    /// batched fill's shared-arena pass.
     pub fn fill_cells(&self, cells: &[CellSpec]) -> Vec<BenchOutcome> {
-        // Probe pass: LRU first (counting the hit/miss), then the
-        // persistent tier, mirroring `outcome`'s tiering.
         let mut outcomes: Vec<Option<Arc<BenchOutcome>>> = cells
             .iter()
             .map(|cell| {
@@ -1374,63 +1325,55 @@ impl Engine {
             })
             .collect();
         if let Some(upstream) = &self.upstream {
-            let cold: Vec<usize> = (0..cells.len())
-                .filter(|&i| outcomes[i].is_none())
-                .collect();
-            if !cold.is_empty() {
-                let specs: Vec<CellSpec> = cold.iter().map(|&i| cells[i].clone()).collect();
-                for (&i, fetched) in cold.iter().zip(upstream.fetch(&specs)) {
-                    if let Some(out) = fetched {
-                        outcomes[i] = Some(self.install(&cells[i], out));
-                    }
-                }
-            }
+            self.resolve_cold(cells, &mut outcomes, |cold| upstream.fetch(cold));
         }
-        self.fill_local(cells, &mut outcomes);
+        self.resolve_cold(cells, &mut outcomes, |cold| {
+            let lanes = auto_lanes(cold[0].core, cold.len());
+            let arena_for = |cell: &CellSpec| self.arena(&cell.profile, &cell.params);
+            run_cells(
+                cold,
+                &self.structures,
+                arena_for,
+                fo4depth_exec::global(),
+                Some(lanes),
+            )
+            .into_iter()
+            .map(Some)
+            .collect()
+        });
         outcomes
             .into_iter()
-            .map(|o| (*o.expect("every cell probed, fetched, or batch-filled")).clone())
+            .map(|o| (*o.expect("every cell resolved by some tier")).clone())
             .collect()
     }
 
-    /// Simulates every still-unresolved cell locally with the
-    /// lane-parallel batched engine, filling `outcomes` in place.
-    fn fill_local(&self, cells: &[CellSpec], outcomes: &mut [Option<Arc<BenchOutcome>>]) {
-        // Group the cold cells by benchmark: cells of one benchmark share
-        // an arena and a fetch plan, so each group is one lane batch (and
-        // one pool task — results are positional, hence deterministic).
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            if outcomes[i].is_some() {
-                continue;
-            }
-            match groups
-                .iter_mut()
-                .find(|g| cells[g[0]].profile.name == cell.profile.name)
-            {
-                Some(g) => g.push(i),
-                None => groups.push(vec![i]),
-            }
-        }
-        if groups.is_empty() {
+    /// Hands the still-unresolved cells to one tier (`resolve` answers
+    /// positionally, `None` where it cannot) and installs what it found.
+    fn resolve_cold(
+        &self,
+        cells: &[CellSpec],
+        outcomes: &mut [Option<Arc<BenchOutcome>>],
+        resolve: impl FnOnce(&[CellSpec]) -> Vec<Option<BenchOutcome>>,
+    ) {
+        let cold: Vec<usize> = (0..cells.len())
+            .filter(|&i| outcomes[i].is_none())
+            .collect();
+        if cold.is_empty() {
             return;
         }
-        let filled = fo4depth_exec::global().map(&groups, |idxs| {
-            let group: Vec<CellSpec> = idxs.iter().map(|&i| cells[i].clone()).collect();
-            let arena = self.arena(&group[0].profile, &group[0].params);
-            fo4depth_study::cells::run_cell_group(&group, &self.structures, &arena)
-        });
-        for (idxs, outs) in groups.iter().zip(filled) {
-            for (&i, out) in idxs.iter().zip(outs) {
-                outcomes[i] = Some(self.install(&cells[i], out));
+        let specs: Vec<CellSpec> = cold.iter().map(|&i| cells[i].clone()).collect();
+        for (&i, found) in cold.iter().zip(resolve(&specs)) {
+            if let Some(out) = found {
+                let cell = &cells[i];
+                outcomes[i] = Some(self.install_record(cell.fingerprint(), Some(cell.core), out));
             }
         }
     }
 
-    /// Simulates (or recalls) a subset of a sweep's grid points, given by
-    /// dense-grid index, through the same cache tiers as [`Self::sweep`].
-    /// One [`SweepPoint`] per requested index, in request order.
-    fn points_at(&self, req: &SweepRequest, observed: bool, indices: &[usize]) -> Vec<SweepPoint> {
+    /// Resolves a subset of a sweep's grid points, given by dense-grid
+    /// index: plan their cells, [`Self::fill_cells`], assemble. One point
+    /// per requested index, in request order.
+    fn sweep_at(&self, req: &SweepRequest, observed: bool, indices: &[usize]) -> DepthSweep {
         let points: Vec<Fo4> = indices.iter().map(|&i| req.points[i]).collect();
         let cells = sweep_cells(
             req.core,
@@ -1439,7 +1382,7 @@ impl Engine {
             req.overhead,
             &points,
             observed,
-            STRUCTURES_TAG,
+            ALPHA_21264_TAG,
         );
         let outcomes = self.fill_cells(&cells);
         assemble_sweep(
@@ -1450,17 +1393,17 @@ impl Engine {
             req.profiles.len(),
             outcomes,
         )
-        .points
     }
 
-    /// The adaptive counterpart of [`Self::sweep`]: drives an
-    /// [`AdaptivePlanner`] round loop through the cell tiers, so probed
-    /// cells land in (and reuse) the same content-addressed cache as
-    /// dense sweeps and `/v1/run` — an adaptive pass warms its dense
-    /// twin and vice versa. `on_point` fires once per probed point, in
-    /// probe order, the moment that point's cells complete (the
-    /// streaming hook). Counting is planner-relative: `cells_simulated`
-    /// is what the plan *requested*; cache hits make it cheaper still.
+    /// The adaptive counterpart of [`Self::sweep`]: the shared
+    /// [`drive_adaptive`] round loop with each round resolved through
+    /// [`Self::sweep_at`], so probed cells land in (and reuse) the same
+    /// content-addressed cache as dense sweeps and `/v1/run` — an
+    /// adaptive pass warms its dense twin and vice versa. `on_point`
+    /// fires once per probed point, in probe order, the moment that
+    /// point's cells complete (the streaming hook). Counting is
+    /// planner-relative: `cells_simulated` is what the plan *requested*;
+    /// cache hits make it cheaper still.
     fn adaptive_sweep(
         &self,
         req: &SweepRequest,
@@ -1468,43 +1411,21 @@ impl Engine {
         config: &AdaptiveConfig,
         on_point: &mut dyn FnMut(usize, &SweepPoint),
     ) -> AdaptiveSweep {
-        let mut planner = AdaptivePlanner::new(&req.points, req.core, req.overhead, config);
-        let mut slots: Vec<Option<SweepPoint>> = vec![None; req.points.len()];
-        loop {
-            let batch = planner.next_batch();
-            if batch.is_empty() {
-                break;
-            }
-            let round = self.points_at(req, observed, &batch);
-            for (&pi, point) in batch.iter().zip(round) {
-                let merit = summarize(&point.outcomes, None, point.period_ps)
-                    .expect("benchmarks present")
-                    .bips;
-                planner.record(pi, merit);
-                on_point(pi, &point);
-                slots[pi] = Some(point);
-            }
-        }
-        let stats = planner.stats();
-        let points: Vec<SweepPoint> = slots.into_iter().flatten().collect();
-        let cells_simulated = points.len() * req.profiles.len();
-        let cells_dense = req.points.len() * req.profiles.len();
+        let a = drive_adaptive(
+            req.core,
+            req.overhead,
+            &req.points,
+            req.profiles.len(),
+            config,
+            |batch| self.sweep_at(req, observed, batch).points,
+            on_point,
+        );
         self.sweeps.adaptive.fetch_add(1, Ordering::Relaxed);
         self.sweeps.cells_saved.fetch_add(
-            cells_dense.saturating_sub(cells_simulated) as u64,
+            a.cells_dense.saturating_sub(a.cells_simulated) as u64,
             Ordering::Relaxed,
         );
-        AdaptiveSweep {
-            sweep: DepthSweep {
-                core: req.core,
-                overhead: req.overhead.get(),
-                points,
-            },
-            probe_order: planner.probe_order().to_vec(),
-            stats,
-            cells_dense,
-            cells_simulated,
-        }
+        a
     }
 
     /// `POST /v1/report` — the full observed run report, byte-identical
@@ -1560,26 +1481,20 @@ impl Engine {
         match &req.adaptive {
             None => {
                 push(&mut body, emit, &head_fragment(req, 1));
-                let sweep = if progressive {
-                    let mut points = Vec::with_capacity(req.points.len());
-                    for i in 0..req.points.len() {
-                        let mut round = self.points_at(req, false, &[i]);
-                        let point = round.pop().expect("one point per index");
-                        push(&mut body, emit, &point_fragment(&point, i == 0));
-                        points.push(point);
-                    }
-                    DepthSweep {
-                        core: req.core,
-                        overhead: req.overhead.get(),
-                        points,
-                    }
-                } else {
-                    let sweep = self.sweep(req, false);
-                    for (i, point) in sweep.points.iter().enumerate() {
-                        push(&mut body, emit, &point_fragment(point, i == 0));
-                    }
-                    sweep
+                let all: Vec<usize> = (0..req.points.len()).collect();
+                let round = if progressive { 1 } else { all.len().max(1) };
+                let mut sweep = DepthSweep {
+                    core: req.core,
+                    overhead: req.overhead.get(),
+                    points: Vec::with_capacity(all.len()),
                 };
+                for indices in all.chunks(round) {
+                    for point in self.sweep_at(req, false, indices).points {
+                        let frag = point_fragment(&point, sweep.points.is_empty());
+                        push(&mut body, emit, &frag);
+                        sweep.points.push(point);
+                    }
+                }
                 push(&mut body, emit, &tail_fragment(optima_json(&sweep), None));
             }
             Some(cfg) => {
@@ -1612,7 +1527,10 @@ impl Engine {
         h.write_str("run");
         h.write_u64(cell.fingerprint());
         self.responses.get_or_compute(h.finish(), || {
-            let outcome = self.outcome(&cell);
+            let outcome = self
+                .fill_cells(std::slice::from_ref(&cell))
+                .pop()
+                .expect("one outcome per cell");
             let machine = fo4depth_study::scaler::ScaledMachine::at(
                 &self.structures,
                 req.t_useful,

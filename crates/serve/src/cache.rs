@@ -154,21 +154,6 @@ impl<V: Clone> Cache<V> {
     /// producer panics, one blocked waiter takes over the computation
     /// (the panic still propagates on the producing thread).
     pub fn get_or_compute(&self, key: u64, f: impl Fn() -> V) -> V {
-        self.get_or_compute_tiered(key, || None, f)
-    }
-
-    /// [`Cache::get_or_compute`] with a read-through tier between the LRU
-    /// and the computation: on an LRU miss the winning caller first asks
-    /// `load` (e.g. the persistent store) and only falls back to `f` when
-    /// `load` has nothing. Either way the value is installed in the LRU
-    /// and shared with every coalesced waiter, so `load`/`f` keep the
-    /// same single-flight guarantee as `f` alone.
-    pub fn get_or_compute_tiered(
-        &self,
-        key: u64,
-        mut load: impl FnMut() -> Option<V>,
-        mut f: impl FnMut() -> V,
-    ) -> V {
         loop {
             let claim = {
                 let mut inner = self.inner.lock().expect("cache lock");
@@ -232,7 +217,7 @@ impl<V: Clone> Cache<V> {
                         key,
                         finished: false,
                     };
-                    let value = load().unwrap_or_else(&mut f);
+                    let value = f();
                     guard.finished = true;
                     let mut inner = self.inner.lock().expect("cache lock");
                     inner.pending.remove(&key);

@@ -302,11 +302,17 @@ impl Connection {
 
     fn read_head(&mut self) -> io::Result<ResponseHead> {
         let end = loop {
-            if let Some(i) = self.buf[self.pos..]
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-            {
+            let pending = &self.buf[self.pos..];
+            if let Some(i) = pending.windows(4).position(|w| w == b"\r\n\r\n") {
                 break self.pos + i;
+            }
+            // Bytes that cannot begin a status line are garbage: fail now
+            // instead of waiting for a terminator that may never arrive
+            // (a kept-alive peer would hold the read until its idle
+            // timeout).
+            let n = pending.len().min(5);
+            if pending[..n] != b"HTTP/"[..n] {
+                return Err(protocol_error("response does not start with a status line"));
             }
             self.fill()?;
         };
@@ -727,14 +733,20 @@ mod tests {
         // client's *body* read is the one the script intercepts.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
+        let (release, held) = std::sync::mpsc::channel::<()>();
         let server = std::thread::spawn(move || {
-            for _ in 0..2 {
+            for k in 0..3 {
                 let (mut s, _) = listener.accept().expect("accept");
                 let mut scratch = [0u8; 1024];
                 let _ = s.read(&mut scratch);
                 let _ = s.write_all(
                     b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\nconnection: close\r\n\r\nhello",
                 );
+                if k == 2 {
+                    // Hold the third connection open, like a kept-alive
+                    // peer waiting for the next request.
+                    let _ = held.recv();
+                }
             }
         });
         let faults = ScriptedNetFaults::new();
@@ -769,6 +781,23 @@ mod tests {
             .request("GET", "/healthz", b"", false)
             .expect_err("injected truncation");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // Third connection: the head arrives garbled and the peer keeps
+        // the connection open. The client must reject it at once, not
+        // wait out its read timeout for a terminator that never comes.
+        let faults3 = ScriptedNetFaults::new();
+        faults3.script_read(Some(InjectedNetFault::Garbage));
+        let mut conn = Connection::connect_with(
+            &addr,
+            Duration::from_secs(5),
+            Duration::from_secs(5),
+            Arc::clone(&faults3) as Arc<dyn NetFault>,
+        )
+        .expect("connect");
+        let err = conn
+            .request("GET", "/healthz", b"", false)
+            .expect_err("injected garbage");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        release.send(()).expect("server holds the connection");
         server.join().expect("server thread");
     }
 }

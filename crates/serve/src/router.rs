@@ -58,7 +58,11 @@ pub struct UpstreamConfig {
     /// Persistent-connection cap per shard — the hard bound on in-flight
     /// scatter requests one router places on one shard.
     pub connections: usize,
-    /// Extra fetch attempts after the first, per cell group.
+    /// Extra fetch attempts each shard of a cell group's read plan gets
+    /// after its first failed exchange. A shard that refuses the dial or
+    /// times out is dropped from the group's plan at once; the group
+    /// falls through to local simulation only when every shard of its
+    /// plan has been dropped.
     pub retries: usize,
     /// Base backoff before retry `n` (doubled each retry, jittered, and
     /// capped by [`backoff_cap`](Self::backoff_cap)).
@@ -596,9 +600,12 @@ impl Upstream {
     /// One owner-group's scatter: power-of-two-choices over the replica
     /// set, then the ring's fallback order, re-requesting only the
     /// still-missing cells each attempt (a shard that died mid-stream
-    /// keeps its delivered cells). After a successful gather the
-    /// records fan out to the other usable replicas so every copy of
-    /// the keyspace stays warm.
+    /// keeps its delivered cells). Each failure moves the group to the
+    /// next shard of its plan; the retry budget is per shard, so faults
+    /// spread over several shards cannot exhaust a group while one of
+    /// its shards still answers. After a successful gather the records
+    /// fan out to the other usable replicas so every copy of the
+    /// keyspace stays warm.
     fn fetch_group(&self, state: &RingState, cells: &[CellSpec]) -> Vec<Option<BenchOutcome>> {
         let mut slots: Vec<Option<BenchOutcome>> = vec![None; cells.len()];
         let fingerprint = cells[0].fingerprint();
@@ -607,11 +614,12 @@ impl Upstream {
         let replication = self.config.replication.clamp(1, order.len());
         let plan = self.read_plan(state, &order, fingerprint);
         let mut cursor = 0usize;
+        let mut budget = vec![self.config.retries.saturating_add(1); plan.len()];
         let mut failed = false;
         let mut fallback_served = false;
         let mut replica_served = false;
         let mut served_by: Vec<usize> = Vec::new();
-        for attempt in 0..=self.config.retries {
+        for attempt in 0.. {
             let missing: Vec<CellSpec> = cells
                 .iter()
                 .zip(&slots)
@@ -621,11 +629,14 @@ impl Upstream {
             if missing.is_empty() {
                 break;
             }
+            let Some((position, shard_ix)) = Self::next_candidate(state, &plan, cursor, &budget)
+            else {
+                break;
+            };
             if attempt > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(self.backoff_for(fingerprint, attempt));
             }
-            let (position, shard_ix) = Self::next_candidate(state, &plan, cursor);
             let shard = &state.shards[shard_ix];
             shard.requests.fetch_add(1, Ordering::Relaxed);
             let guard = InflightGuard::enter(shard);
@@ -654,10 +665,22 @@ impl Upstream {
             }
             match result {
                 Ok(()) => break,
-                Err(_) => {
+                Err(e) => {
                     failed = true;
                     shard.failures.fetch_add(1, Ordering::Relaxed);
                     shard.up.store(false, Ordering::Relaxed);
+                    // A refused dial or a timeout means the shard is down
+                    // or wedged: stop trying it for this group. Any other
+                    // failure broke one exchange with a shard that
+                    // answered, which is worth a retry later.
+                    let unreachable = matches!(
+                        e.kind(),
+                        io::ErrorKind::ConnectionRefused
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::WouldBlock
+                    );
+                    let slot = position % plan.len();
+                    budget[slot] = if unreachable { 0 } else { budget[slot] - 1 };
                     cursor = position + 1;
                 }
             }
@@ -742,20 +765,27 @@ impl Upstream {
         Ok(())
     }
 
-    /// The next shard to try: the first usable shard at or after
-    /// `cursor` in plan order (wrapping), or — when everything is
-    /// flagged down — the shard at `cursor` anyway: flags are hints
-    /// from the last probe, and trying a flagged shard is how a wrong
-    /// flag gets corrected before the next probe.
-    fn next_candidate(state: &RingState, plan: &[usize], cursor: usize) -> (usize, usize) {
-        for offset in 0..plan.len() {
+    /// The next shard to try, as `(plan position, shard slot)`: the first
+    /// usable shard with `budget` left at or after `cursor` in plan order
+    /// (wrapping), or — when all of those are flagged down — the first
+    /// one anyway: flags are hints from the last probe, and trying a
+    /// flagged shard is how a wrong flag gets corrected before the next
+    /// probe. `None` once no shard of the plan has budget left.
+    fn next_candidate(
+        state: &RingState,
+        plan: &[usize],
+        cursor: usize,
+        budget: &[usize],
+    ) -> Option<(usize, usize)> {
+        let open = |offset: usize| {
             let position = cursor + offset;
-            let shard = plan[position % plan.len()];
-            if state.shards[shard].usable() {
-                return (position, shard);
-            }
-        }
-        (cursor, plan[cursor % plan.len()])
+            let slot = position % plan.len();
+            (budget[slot] > 0).then_some((position, plan[slot]))
+        };
+        (0..plan.len())
+            .filter_map(open)
+            .find(|&(_, shard)| state.shards[shard].usable())
+            .or_else(|| (0..plan.len()).find_map(open))
     }
 
     /// One `/v1/cells` request to one shard, over its persistent pool.
@@ -975,5 +1005,40 @@ impl Upstream {
                 ]),
             ),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A three-shard ring generation over unreachable addresses (nothing
+    /// here dials).
+    fn three_shards() -> RingState {
+        let config = UpstreamConfig::default();
+        let shards: Vec<Arc<Shard>> = (0..3)
+            .map(|id| Shard::new(id, format!("127.0.0.1:{}", 9 + id), &config))
+            .collect();
+        let ring = Upstream::build_ring(&shards, config.ring_replicas);
+        RingState { ring, shards }
+    }
+
+    #[test]
+    fn candidates_skip_spent_shards_until_the_plan_is_exhausted() {
+        let state = three_shards();
+        let plan = [2, 0, 1];
+        let next =
+            |cursor, budget: &[usize]| Upstream::next_candidate(&state, &plan, cursor, budget);
+        assert_eq!(next(0, &[3, 3, 3]), Some((0, 2)));
+        // A spent shard is skipped, wrapping around the plan.
+        assert_eq!(next(1, &[3, 0, 3]), Some((2, 1)));
+        assert_eq!(next(2, &[2, 3, 0]), Some((3, 2)));
+        // Flagged-down shards are passed over while a usable one has
+        // budget, and tried anyway when none does.
+        state.shards[2].up.store(false, Ordering::Relaxed);
+        assert_eq!(next(0, &[3, 3, 3]), Some((1, 0)));
+        assert_eq!(next(0, &[3, 0, 0]), Some((0, 2)));
+        // No budget anywhere: the group falls through to local simulation.
+        assert_eq!(next(0, &[0, 0, 0]), None);
     }
 }

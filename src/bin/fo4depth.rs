@@ -35,12 +35,12 @@ use fo4depth::study::report;
 use fo4depth::study::scaler::ScaledMachine;
 use fo4depth::study::sim::{run_inorder, run_ooo, SimParams};
 use fo4depth::study::sweep::{
-    adaptive_sweep_arenas, adaptive_sweep_spec, auto_lanes, build_arenas, depth_sweep_arenas,
-    depth_sweep_arenas_batched, depth_sweep_spec, depth_sweep_spec_batched, standard_points,
-    AdaptiveSweep, CoreKind, DepthSweep, SweepSpec,
+    adaptive_sweep_arenas, auto_lanes, build_arenas, depth_sweep_arenas,
+    depth_sweep_arenas_batched, depth_sweep_spec, standard_points, AdaptiveSweep, CoreKind,
+    DepthSweep, SweepSpec,
 };
 use fo4depth::study::validation::{self, Bands};
-use fo4depth::study::yield_sweep::yield_sweep_spec;
+use fo4depth::study::yield_sweep::{run_yield_plan, YieldPlan};
 use fo4depth::util::args::{ArgError, Args};
 use fo4depth::variation::{DistKind, VariationSpec};
 use fo4depth::workload::{profiles, BenchProfile, TraceArena, TraceGenerator, TraceReader};
@@ -325,12 +325,10 @@ fn cmd_sweep(mut args: Args) -> Result<ExitCode, ArgError> {
     let pool = fo4depth::exec::global();
     let lanes = batch.resolve(core, points.len());
     let sweep = match mode {
-        SweepMode::Dense => match lanes {
-            Some(lanes) => depth_sweep_spec_batched(&spec, pool, lanes),
-            None => depth_sweep_spec(&spec, pool),
-        },
+        SweepMode::Dense => depth_sweep_spec(&spec, pool, lanes),
         SweepMode::Adaptive => {
-            let adaptive = adaptive_sweep_spec(&spec, pool, lanes, &adaptive_config);
+            let arenas = build_arenas(&profs, &params, pool);
+            let adaptive = adaptive_sweep_arenas(&spec, &arenas, pool, lanes, &adaptive_config);
             adaptive_summary(&adaptive);
             adaptive.sweep
         }
@@ -538,8 +536,9 @@ fn cmd_yield(mut args: Args) -> Result<ExitCode, ArgError> {
     };
     let pool = fo4depth::exec::global();
     let lanes = batch.resolve(core, points.len());
-    let sweep = yield_sweep_spec(&spec, variation, pool, lanes)
-        .map_err(|e| ArgError(e.message().to_string()))?;
+    let plan =
+        YieldPlan::build(spec, variation, pool).map_err(|e| ArgError(e.message().to_string()))?;
+    let sweep = run_yield_plan(&plan, &build_arenas(&profs, &params, pool), pool, lanes);
     println!(
         "yield-aware depth sweep: {} core, overhead {overhead} FO4, {} dies (seed {})",
         match core {
@@ -624,19 +623,14 @@ fn cmd_report(mut args: Args) -> Result<ExitCode, ArgError> {
         points: &points,
         observed: true,
     };
+    let pool = fo4depth::exec::global();
     let doc = match mode {
         SweepMode::Adaptive => {
-            let adaptive =
-                adaptive_sweep_spec(&spec, fo4depth::exec::global(), lanes, &adaptive_config);
+            let arenas = build_arenas(&profs, &params, pool);
+            let adaptive = adaptive_sweep_arenas(&spec, &arenas, pool, lanes, &adaptive_config);
             report::adaptive_sweep_json(&adaptive, &params)
         }
-        SweepMode::Dense => match lanes {
-            Some(lanes) => {
-                let sweep = depth_sweep_spec_batched(&spec, fo4depth::exec::global(), lanes);
-                report::sweep_json(&sweep, &params)
-            }
-            None => report::generate(core, &profs, &params, &points),
-        },
+        SweepMode::Dense => report::sweep_json(&depth_sweep_spec(&spec, pool, lanes), &params),
     };
     let text = doc.pretty();
     match out_path {

@@ -69,7 +69,7 @@ fn redensified_adaptive_sweep_matches_dense_bitwise_everywhere() {
                 points: &points,
                 observed,
             };
-            let dense = depth_sweep_spec(&spec, &serial);
+            let dense = depth_sweep_spec(&spec, &serial, None);
             let (best_t, best_bips) = dense.optimum(None);
             for jobs in [1, max] {
                 let pool = Pool::new(jobs);

@@ -13,10 +13,12 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use fo4depth::exec::Pool;
-use fo4depth::study::cells::{assemble_sweep, run_cell_group, sweep_cells, CellSpec};
+use fo4depth::study::cells::{assemble_sweep, run_cell_group, run_cells, sweep_cells, CellSpec};
 use fo4depth::study::latency::StructureSet;
 use fo4depth::study::scaler::ScaledMachine;
 use fo4depth::study::sim::{run_ooo, run_ooo_batched, run_ooo_observed, BenchOutcome, SimParams};
@@ -164,7 +166,8 @@ fn non_conventional_windows_batch_bit_identically() {
 }
 
 /// The serve tier's cache-fill seam: a lane group filled through
-/// [`run_cell_group`] returns, cell for cell, exactly what the scalar
+/// [`run_cell_group`] — or a whole mixed plan resolved through
+/// [`run_cells`] — returns, cell for cell, exactly what the scalar
 /// [`CellSpec::run`] returns — so a batch-filled cache entry and a
 /// scalar-filled one are interchangeable.
 #[test]
@@ -198,6 +201,65 @@ fn cell_group_matches_scalar_cells() {
                 &batched,
             );
         }
+    }
+
+    // A mixed plan: both cores, two benchmarks, observation on and off,
+    // two parameter sets — sixteen lane-batch headers — in fingerprint
+    // order, which scatters the headers through the list. `run_cells`
+    // must group it by header, batch it at any lane width, and put every
+    // outcome back in its cell's slot.
+    let mixed_profs = &profs[..2];
+    let other_params = SimParams {
+        measure: 4_000,
+        seed: 2,
+        ..params
+    };
+    let mut mixed: Vec<CellSpec> = Vec::new();
+    for core in [CoreKind::OutOfOrder, CoreKind::InOrder] {
+        for observed in [false, true] {
+            for p in [params, other_params] {
+                mixed.extend(sweep_cells(
+                    core,
+                    mixed_profs,
+                    &p,
+                    Fo4::new(1.8),
+                    &points,
+                    observed,
+                    TAG,
+                ));
+            }
+        }
+    }
+    mixed.sort_by_key(CellSpec::fingerprint);
+    let arena_sets = [
+        (params, build_arenas(mixed_profs, &params, &pool)),
+        (
+            other_params,
+            build_arenas(mixed_profs, &other_params, &pool),
+        ),
+    ];
+    let arena_for = |cell: &CellSpec| {
+        let (_, set) = arena_sets
+            .iter()
+            .find(|(p, _)| *p == cell.params)
+            .expect("arena set for the cell's params");
+        let bi = mixed_profs
+            .iter()
+            .position(|p| p.name == cell.profile.name)
+            .expect("cell benchmark");
+        Arc::clone(&set[bi])
+    };
+    let scalar: Vec<BenchOutcome> = mixed
+        .iter()
+        .map(|c| c.run(&structures, &arena_for(c)))
+        .collect();
+    for lanes in [None, Some(1), Some(2), Some(3), Some(15)] {
+        let resolved = run_cells(&mixed, &structures, arena_for, &pool, lanes);
+        common::assert_outcomes_bitwise_eq(
+            &format!("mixed-header plan, lanes={lanes:?}"),
+            &scalar,
+            &resolved,
+        );
     }
 }
 

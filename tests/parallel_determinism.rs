@@ -49,7 +49,7 @@ fn assert_pool_invariant(core: CoreKind, observed: bool) {
     let max = fo4depth::exec::default_threads().max(2);
     let sweeps: Vec<DepthSweep> = [1, 2, max]
         .into_iter()
-        .map(|n| depth_sweep_spec(&spec, &Pool::new(n)))
+        .map(|n| depth_sweep_spec(&spec, &Pool::new(n), None))
         .collect();
     for (i, s) in sweeps.iter().enumerate().skip(1) {
         common::assert_sweeps_bitwise_eq(

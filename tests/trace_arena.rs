@@ -88,7 +88,7 @@ fn arena_sweep_matches_streaming_reference() {
             observed: false,
         };
         for jobs in [1, 4] {
-            let sweep = depth_sweep_spec(&spec, &Pool::new(jobs));
+            let sweep = depth_sweep_spec(&spec, &Pool::new(jobs), None);
             for (pi, point) in sweep.points.iter().enumerate() {
                 let machine = ScaledMachine::at(&structures, points[pi], Fo4::new(1.8));
                 for (bi, outcome) in point.outcomes.iter().enumerate() {

@@ -16,8 +16,8 @@ use fo4depth::exec::Pool;
 use fo4depth::serve::ServeConfig;
 use fo4depth::study::latency::StructureSet;
 use fo4depth::study::sim::SimParams;
-use fo4depth::study::sweep::{standard_points, CoreKind, SweepSpec};
-use fo4depth::study::yield_sweep::{yield_sweep_spec, YieldSweep};
+use fo4depth::study::sweep::{build_arenas, standard_points, CoreKind, SweepSpec};
+use fo4depth::study::yield_sweep::{run_yield_plan, YieldPlan, YieldSweep};
 use fo4depth::util::Json;
 use fo4depth::variation::VariationSpec;
 use fo4depth::workload::profiles;
@@ -30,6 +30,18 @@ fn start_router(shards: &[&TestServer]) -> TestServer {
         ..ServeConfig::default()
     };
     start(config)
+}
+
+/// Plans a yield sweep, materializes its arenas, and runs it on `pool`.
+fn plan_and_run(
+    spec: &SweepSpec<'_>,
+    variation: VariationSpec,
+    pool: &Pool,
+    lanes: Option<usize>,
+) -> YieldSweep {
+    let plan = YieldPlan::build(*spec, variation, pool).expect("valid variation spec");
+    let arenas = build_arenas(spec.profiles, spec.params, pool);
+    run_yield_plan(&plan, &arenas, pool, lanes)
 }
 
 /// The error code of a structured error response.
@@ -72,7 +84,7 @@ fn small_yield(pool: &Pool, lanes: Option<usize>) -> YieldSweep {
     };
     let mut variation = VariationSpec::new(7);
     variation.samples = 12;
-    yield_sweep_spec(&spec, variation, pool, lanes).expect("valid variation spec")
+    plan_and_run(&spec, variation, pool, lanes)
 }
 
 /// The same seed must produce the same dies and the same sweep — bit for
@@ -127,7 +139,7 @@ fn fast_path_agrees_with_monte_carlo_on_the_standard_grid() {
     };
     let variation = VariationSpec::new(1);
     let pool = fo4depth::exec::global();
-    let sweep = yield_sweep_spec(&spec, variation, pool, None).expect("valid variation spec");
+    let sweep = plan_and_run(&spec, variation, pool, None);
 
     let agreement = sweep.agreement();
     assert!(
